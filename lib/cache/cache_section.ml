@@ -11,9 +11,6 @@
 module type OPS = sig
   type t
 
-  val kind : string
-  (** ["section"] or ["swap"]; used for diagnostics. *)
-
   val load : t -> clock:Mira_sim.Clock.t -> addr:int -> len:int -> int64
   val store : t -> clock:Mira_sim.Clock.t -> addr:int -> len:int -> int64 -> unit
 
@@ -58,7 +55,6 @@ type handle = Handle : (module OPS with type t = 'a) * 'a -> handle
 
 (* Dispatch helpers so call sites read like method calls. *)
 
-let kind (Handle ((module M), _)) = M.kind
 let load (Handle ((module M), s)) ~clock ~addr ~len = M.load s ~clock ~addr ~len
 
 let store (Handle ((module M), s)) ~clock ~addr ~len v =

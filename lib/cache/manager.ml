@@ -147,17 +147,10 @@ let check_cluster t ~clock =
           (* Rebuild traffic rides the data plane asynchronously: the
              returning node is repopulated by decoding survivors
              without stalling the application. *)
-          if resync_bytes > 0 then begin
-            let req =
-              Mira_sim.Net.Request.write ~node ~side:Mira_sim.Net.One_sided
-                ~purpose:Mira_sim.Net.Writeback resync_bytes
-            in
-            let sqe =
-              Mira_sim.Net.submit t.net ~now:(Mira_sim.Clock.now clock)
-                ~detached:true req
-            in
-            Mira_sim.Clock.advance clock sqe.Mira_sim.Net.issue_cpu_ns
-          end;
+          if resync_bytes > 0 then
+            Far_io.post_detached t.net ~clock
+              (Mira_sim.Net.Request.write ~node ~side:Mira_sim.Net.One_sided
+                 ~purpose:Mira_sim.Net.Writeback resync_bytes);
           if Mira_telemetry.Trace.enabled () then
             Mira_telemetry.Trace.instant ~name:"node-recovered" ~cat:"cluster"
               ~lane:"cluster"

@@ -10,7 +10,9 @@
     buffers, so system-wide data correctness is testable.  All timing
     goes through the caller's [Clock]; misses block on the simulated
     network, prefetched lines carry a [ready_at] and late accesses
-    stall until the data has "arrived". *)
+    stall until the data has "arrived".  How a line travels to and from
+    the cluster (and how that is traced and charged) is [Far_io]'s,
+    shared with [Swap_section]. *)
 
 type structure = Direct | Set_assoc of int | Full_assoc
 
@@ -86,7 +88,8 @@ val load_native : t -> clock:Mira_sim.Clock.t -> addr:int -> len:int -> int64
 val store_native : t -> clock:Mira_sim.Clock.t -> addr:int -> len:int -> int64 -> unit
 
 val prefetch : t -> clock:Mira_sim.Clock.t -> addr:int -> len:int -> unit
-(** Asynchronously fetch all lines covering [addr, addr+len); only the
+(** Asynchronously fetch all lines covering [addr, addr+len) that are
+    neither resident nor past the end of far memory; only the
     message-posting CPU cost hits the clock. *)
 
 val flush_evict : t -> clock:Mira_sim.Clock.t -> addr:int -> len:int -> unit

@@ -39,7 +39,7 @@ type page_state = {
 type t = {
   mutable cfg : config;
   net : Mira_sim.Net.t;
-  far : Mira_sim.Cluster.t;
+  io : Far_io.t;
   mutable frames : page_state array;
   table : (int, int) Hashtbl.t;  (* page number -> frame *)
   mutable free_frames : int list;
@@ -49,7 +49,6 @@ type t = {
   mutable extra_fault_ns : float;
   mutable hint_count : int;  (* pages currently marked evict-first *)
   stats : stats;
-  mutable attribution : Mira_telemetry.Attribution.t option;
 }
 
 let frame_make page = { pno = -1; dirty = false; ready_at = 0.0; refbit = false;
@@ -61,7 +60,9 @@ let create net far cfg =
   {
     cfg;
     net;
-    far;
+    io =
+      Far_io.create net far ~side:cfg.side ~unit_bytes:cfg.page
+        ~fetch_bytes:cfg.page ~section:"swap" ~lane:"swap";
     frames = Array.init nframes (fun _ -> frame_make cfg.page);
     table = Hashtbl.create (max 16 nframes);
     free_frames = List.init nframes (fun i -> i);
@@ -71,26 +72,10 @@ let create net far cfg =
     extra_fault_ns = 0.0;
     hint_count = 0;
     stats = fresh_stats ();
-    attribution = None;
   }
 
 let stats t = t.stats
-let set_attribution t a = t.attribution <- Some a
-
-let charge_stall t cause stall =
-  match t.attribution with
-  | None -> ()
-  | Some a -> Mira_telemetry.Attribution.charge a ~section:"swap" cause stall
-
-let charge_split t (c : Mira_sim.Net.completion) stall =
-  match t.attribution with
-  | None -> ()
-  | Some a ->
-    Mira_telemetry.Attribution.charge_parts a ~section:"swap"
-      ~holders:c.Mira_sim.Net.holders
-      (Mira_telemetry.Attribution.split_stall ~stall
-         ~wire_ns:c.Mira_sim.Net.wire_ns ~queue_ns:c.Mira_sim.Net.queue_ns
-         ~retry_ns:c.Mira_sim.Net.retry_ns)
+let set_attribution t a = Far_io.set_attribution t.io a
 
 let reset_stats t =
   let d = t.stats in
@@ -131,70 +116,10 @@ let params t = Mira_sim.Net.params t.net
 (* Per-page metadata: a PTE-like entry plus LRU state (~32 B). *)
 let metadata_bytes t = 32 * Array.length t.frames
 
-(* Causal context for a child request of the access currently being
-   executed; [flow] children (detached writebacks, readahead) link
-   with flow arrows only. *)
-let child_ctx ~flow =
-  if Mira_telemetry.Trace.enabled () then
-    match Mira_telemetry.Trace.current_ctx () with
-    | Some c -> Some { c with Mira_telemetry.Trace.sc_flow = flow }
-    | None -> None
-  else None
-
 let writeback t ~clock frame ~sync =
   if frame.dirty then begin
-    let base = frame.pno * t.cfg.page in
-    Mira_sim.Cluster.write t.far ~addr:base ~len:t.cfg.page ~src:frame.data ~src_off:0;
-    let node = Mira_sim.Cluster.node_of_addr t.far ~addr:base in
-    let req ~flow =
-      Mira_sim.Net.Request.write ~node ?ctx:(child_ctx ~flow) ~side:t.cfg.side
-        ~purpose:Mira_sim.Net.Writeback t.cfg.page
-    in
-    let now = Mira_sim.Clock.now clock in
-    if sync then begin
-      let x = Mira_sim.Net.submit t.net ~now ~urgent:true (req ~flow:false) in
-      Mira_sim.Clock.advance clock x.Mira_sim.Net.issue_cpu_ns;
-      let c = Mira_sim.Net.await t.net ~now ~id:x.Mira_sim.Net.id in
-      let stall =
-        Mira_sim.Clock.wait_event clock
-          ~ev:(Mira_sim.Clock.Net_completion x.Mira_sim.Net.id)
-          c.Mira_sim.Net.done_at
-      in
-      charge_stall t Mira_telemetry.Attribution.Writeback stall
-    end
-    else begin
-      let x = Mira_sim.Net.submit t.net ~now ~detached:true (req ~flow:true) in
-      Mira_sim.Clock.advance clock x.Mira_sim.Net.issue_cpu_ns
-    end;
-    (* Redundancy fan-out: each live parity row's update (a full copy
-       for mirrors, the touched chunk union for EC) rides an
-       asynchronous, batchable message — durability is eventual,
-       consistency is the cluster's eager parity above. *)
-    List.iter
-      (fun (rnode, bytes) ->
-        let now = Mira_sim.Clock.now clock in
-        let x =
-          Mira_sim.Net.submit t.net ~now ~detached:true
-            (Mira_sim.Net.Request.write ~node:rnode
-               ?ctx:(child_ctx ~flow:true) ~side:t.cfg.side
-               ~purpose:Mira_sim.Net.Writeback bytes)
-        in
-        Mira_sim.Clock.advance clock x.Mira_sim.Net.issue_cpu_ns)
-      (Mira_sim.Cluster.replica_payloads t.far ~addr:base ~len:t.cfg.page);
-    (* A write landing on a down data node decoded the old contents
-       from survivors; that read traffic rides detached. *)
-    let rb = Mira_sim.Cluster.take_reconstruction t.far in
-    if rb > 0 then begin
-      let now = Mira_sim.Clock.now clock in
-      let x =
-        Mira_sim.Net.submit t.net ~now ~detached:true
-          (Mira_sim.Net.Request.read
-             ~node:(Mira_sim.Cluster.serving_node t.far)
-             ?ctx:(child_ctx ~flow:true) ~side:t.cfg.side
-             ~purpose:Mira_sim.Net.Demand rb)
-      in
-      Mira_sim.Clock.advance clock x.Mira_sim.Net.issue_cpu_ns
-    end;
+    Far_io.writeback t.io ~clock ~base:(frame.pno * t.cfg.page) ~src:frame.data
+      ~sync;
     frame.dirty <- false;
     t.stats.writebacks <- t.stats.writebacks + 1
   end
@@ -246,43 +171,10 @@ let allocate_frame t ~clock =
     release_frame t ~clock idx;
     idx
 
-(* A fill that had to erasure-decode (its data node down, group within
-   quorum) read k survivor chunk ranges instead of one: model the
-   extra (k-1)*c bytes as an urgent demand read and charge the wait to
-   the [Reconstruct] attribution cause. *)
-let charge_reconstruction t ~clock =
-  let rb = Mira_sim.Cluster.take_reconstruction t.far in
-  if rb > 0 then begin
-    let now = Mira_sim.Clock.now clock in
-    let x =
-      Mira_sim.Net.submit t.net ~now ~urgent:true
-        (Mira_sim.Net.Request.read
-           ~node:(Mira_sim.Cluster.serving_node t.far)
-           ?ctx:(child_ctx ~flow:false) ~side:t.cfg.side
-           ~purpose:Mira_sim.Net.Demand rb)
-    in
-    Mira_sim.Clock.advance clock x.Mira_sim.Net.issue_cpu_ns;
-    let c = Mira_sim.Net.await t.net ~now ~id:x.Mira_sim.Net.id in
-    let stall =
-      Mira_sim.Clock.wait_event clock
-        ~ev:(Mira_sim.Clock.Net_completion x.Mira_sim.Net.id)
-        c.Mira_sim.Net.done_at
-    in
-    charge_stall t Mira_telemetry.Attribution.Reconstruct stall;
-    if Mira_telemetry.Trace.enabled () then
-      Mira_telemetry.Trace.complete ~name:"reconstruct" ~cat:"cluster"
-        ~lane:(Mira_sim.Cluster.service_lane t.far) ~ts_ns:now
-        ~dur_ns:(Mira_sim.Clock.now clock -. now)
-        ~args:[ ("bytes", Mira_telemetry.Json.Int rb) ]
-        ()
-  end
-
 let install t ~clock ~pno ~ready_at =
   let idx = allocate_frame t ~clock in
   let frame = t.frames.(idx) in
-  Mira_sim.Cluster.read t.far ~addr:(pno * t.cfg.page) ~len:t.cfg.page ~dst:frame.data
-    ~dst_off:0;
-  charge_reconstruction t ~clock;
+  Far_io.read_unit t.io ~clock ~base:(pno * t.cfg.page) ~dst:frame.data;
   frame.pno <- pno;
   frame.dirty <- false;
   frame.ready_at <- ready_at;
@@ -292,133 +184,42 @@ let install t ~clock ~pno ~ready_at =
   t.used <- t.used + 1;
   idx
 
-let prefetch_req ?ctx t ~page =
-  Mira_sim.Net.Request.read
-    ~node:(Mira_sim.Cluster.node_of_addr t.far ~addr:(page * t.cfg.page))
-    ?ctx ~side:t.cfg.side ~purpose:Mira_sim.Net.Prefetch t.cfg.page
-
-let prefetch_page t ~clock ~page =
-  if not (Hashtbl.mem t.table page) then begin
-    let ctx = child_ctx ~flow:true in
-    let now = Mira_sim.Clock.now clock in
-    let x = Mira_sim.Net.submit t.net ~now (prefetch_req ?ctx t ~page) in
-    Mira_sim.Clock.advance clock x.Mira_sim.Net.issue_cpu_ns;
-    t.stats.bytes_fetched <- t.stats.bytes_fetched + t.cfg.page;
-    t.stats.readahead_pages <- t.stats.readahead_pages + 1;
-    let c = Mira_sim.Net.await t.net ~now ~id:x.Mira_sim.Net.id in
-    ignore (install t ~clock ~pno:page ~ready_at:c.Mira_sim.Net.done_at)
-  end
-
 (* Readahead cluster: with doorbell batching enabled the whole cluster
    is submitted first and posted as one coalesced message; otherwise
    each page posts (and pays) its own doorbell, exactly like the
-   synchronous model. *)
+   synchronous model.  Pages past the end of far memory are skipped. *)
 let prefetch_cluster t ~clock pages =
-  if not (Mira_sim.Net.dataplane t.net).Mira_sim.Net.coalesce then
-    List.iter (fun page -> prefetch_page t ~clock ~page) pages
-  else begin
-    let pages = List.filter (fun p -> not (Hashtbl.mem t.table p)) pages in
-    let ctx = child_ctx ~flow:true in
-    let sqes =
-      List.map
-        (fun page ->
-          let x =
-            Mira_sim.Net.submit t.net ~now:(Mira_sim.Clock.now clock)
-              (prefetch_req ?ctx t ~page)
-          in
-          Mira_sim.Clock.advance clock x.Mira_sim.Net.issue_cpu_ns;
-          t.stats.bytes_fetched <- t.stats.bytes_fetched + t.cfg.page;
-          t.stats.readahead_pages <- t.stats.readahead_pages + 1;
-          (page, x.Mira_sim.Net.id))
-        pages
-    in
-    Mira_sim.Net.ring t.net ~now:(Mira_sim.Clock.now clock);
-    List.iter
-      (fun (page, id) ->
-        let c = Mira_sim.Net.await t.net ~now:(Mira_sim.Clock.now clock) ~id in
-        if not (Hashtbl.mem t.table page) then
-          ignore (install t ~clock ~pno:page ~ready_at:c.Mira_sim.Net.done_at))
-      sqes
-  end
+  let posted =
+    Far_io.prefetch t.io ~clock
+      ~resident:(fun pno -> Hashtbl.mem t.table pno)
+      ~install:(fun pno ~ready_at -> ignore (install t ~clock ~pno ~ready_at))
+      pages
+  in
+  t.stats.bytes_fetched <- t.stats.bytes_fetched + (posted * t.cfg.page);
+  t.stats.readahead_pages <- t.stats.readahead_pages + posted
+
+let prefetch_page t ~clock ~page = prefetch_cluster t ~clock [ page ]
 
 let fault t ~clock ~pno =
   let p = params t in
-  let start = Mira_sim.Clock.now clock in
   (* The fill span of this fault: child of the ambient deref, or a
      root of its own trace when the access above is untraced. *)
-  let fill =
-    if Mira_telemetry.Trace.enabled () then begin
-      let module Tr = Mira_telemetry.Trace in
-      let trace, parent, site =
-        match Tr.current_ctx () with
-        | Some c -> (c.Tr.sc_trace, c.Tr.sc_span, c.Tr.sc_site)
-        | None -> (Tr.new_trace (), 0, -1)
-      in
-      Some (trace, parent, Tr.new_span (), site)
-    end
-    else None
-  in
-  let fill_ctx =
-    Option.map
-      (fun (trace, _, span, site) ->
-        {
-          Mira_telemetry.Trace.sc_trace = trace;
-          sc_span = span;
-          sc_site = site;
-          sc_lane = "swap";
-          sc_flow = false;
-        })
-      fill
-  in
+  let fill = Far_io.open_fill t.io ~clock in
   t.stats.faults <- t.stats.faults + 1;
   Mira_sim.Clock.advance clock (p.Mira_sim.Params.page_fault_ns +. t.extra_fault_ns);
-  let now = Mira_sim.Clock.now clock in
-  let x =
-    Mira_sim.Net.submit t.net ~now ~urgent:true
-      (Mira_sim.Net.Request.read
-         ~node:(Mira_sim.Cluster.node_of_addr t.far ~addr:(pno * t.cfg.page))
-         ?ctx:fill_ctx ~side:t.cfg.side ~purpose:Mira_sim.Net.Demand
-         t.cfg.page)
-  in
-  Mira_sim.Clock.advance clock x.Mira_sim.Net.issue_cpu_ns;
-  let c = Mira_sim.Net.await t.net ~now ~id:x.Mira_sim.Net.id in
+  let c = Far_io.demand_read t.io ~clock fill ~addr:(pno * t.cfg.page) in
   let idx = install t ~clock ~pno ~ready_at:c.Mira_sim.Net.done_at in
-  let stall =
-    Mira_sim.Clock.wait_event clock ~ev:Mira_sim.Clock.Cache_fill
-      c.Mira_sim.Net.done_at
-  in
-  charge_split t c stall;
+  Far_io.await_fill t.io ~clock c;
   t.stats.bytes_fetched <- t.stats.bytes_fetched + t.cfg.page;
   (* Readahead decided while the demand page is in flight; the cluster
      rides one coalesced doorbell when batching is enabled. *)
   prefetch_cluster t ~clock
     (List.filter (fun extra -> extra >= 0 && extra <> pno) (t.readahead pno));
-  let this_fault_ns = Mira_sim.Clock.now clock -. start in
-  t.stats.fault_ns <- t.stats.fault_ns +. this_fault_ns;
-  let fill_trace =
-    match fill with Some (trace, _, _, _) -> trace | None -> 0
+  let this_fault_ns =
+    Far_io.close_fill t.io ~clock fill t.stats.lat_fault ~name:"page-fault"
+      ~key:"page" ~arg:pno
   in
-  Mira_telemetry.Metrics.hist_observe ~trace:fill_trace t.stats.lat_fault
-    this_fault_ns;
-  (match fill with
-  | Some (trace, parent, span, _) ->
-    let module Tr = Mira_telemetry.Trace in
-    Tr.begin_span ~name:"page-fault" ~cat:"cache" ~lane:"swap" ~ts_ns:start
-      ~trace ~span ~parent
-      ~args:[ ("page", Mira_telemetry.Json.Int pno) ]
-      ();
-    Tr.end_span ~name:"page-fault" ~cat:"cache" ~lane:"swap"
-      ~ts_ns:(start +. this_fault_ns) ~trace ~span ();
-    Tr.instant ~name:"serve" ~cat:"cluster"
-      ~lane:(Mira_sim.Cluster.service_lane t.far)
-      ~ts_ns:(start +. this_fault_ns)
-      ~args:
-        [
-          ("trace", Mira_telemetry.Json.Int trace);
-          ("span", Mira_telemetry.Json.Int span);
-        ]
-      ()
-  | None -> ());
+  t.stats.fault_ns <- t.stats.fault_ns +. this_fault_ns;
   (* With very small frame pools the readahead itself may have evicted
      the demand page; reinstall so the caller's frame is valid (a real
      kernel locks the faulting page instead — no extra cost charged). *)
@@ -434,27 +235,13 @@ let ensure t ~clock ~pno =
   | Some idx ->
     let frame = t.frames.(idx) in
     t.stats.hits <- t.stats.hits + 1;
-    let stall =
-      Mira_sim.Clock.wait_event clock ~ev:Mira_sim.Clock.Cache_fill
-        frame.ready_at
-    in
-    if stall > 0.0 then begin
+    if frame.ready_at > Mira_sim.Clock.now clock then begin
+      let stall =
+        Far_io.late_fill t.io ~clock ~ready_at:frame.ready_at
+          ~name:"late-readahead"
+      in
       t.stats.late_readahead <- t.stats.late_readahead + 1;
-      t.stats.stall_ns <- t.stats.stall_ns +. stall;
-      (* Late readahead: still waiting on the wire. *)
-      charge_stall t Mira_telemetry.Attribution.Demand_wire stall;
-      if Mira_telemetry.Trace.enabled () then
-        match Mira_telemetry.Trace.current_ctx () with
-        | Some ctx ->
-          let module Tr = Mira_telemetry.Trace in
-          let span = Tr.new_span () in
-          let now = Mira_sim.Clock.now clock in
-          Tr.begin_span ~name:"late-readahead" ~cat:"cache" ~lane:"swap"
-            ~ts_ns:(now -. stall) ~trace:ctx.Tr.sc_trace ~span
-            ~parent:ctx.Tr.sc_span ();
-          Tr.end_span ~name:"late-readahead" ~cat:"cache" ~lane:"swap"
-            ~ts_ns:now ~trace:ctx.Tr.sc_trace ~span ()
-        | None -> ()
+      t.stats.stall_ns <- t.stats.stall_ns +. stall
     end;
     frame.refbit <- true;
     if frame.evict_first then begin
@@ -564,7 +351,6 @@ let prefetch_range t ~clock ~addr ~len =
 module Ops : Cache_section.OPS with type t = t = struct
   type nonrec t = t
 
-  let kind = "swap"
   let load = load
   let store = store
 

@@ -63,12 +63,13 @@ val load : t -> clock:Mira_sim.Clock.t -> addr:int -> len:int -> int64
 val store : t -> clock:Mira_sim.Clock.t -> addr:int -> len:int -> int64 -> unit
 
 val prefetch_page : t -> clock:Mira_sim.Clock.t -> page:int -> unit
-(** Asynchronous page fetch (used by Mira's swap-section prefetch hints
-    and by readahead policies). *)
+(** Asynchronous page fetch: [prefetch_cluster] of one page. *)
 
 val prefetch_cluster : t -> clock:Mira_sim.Clock.t -> int list -> unit
-(** Prefetch a list of pages; with doorbell batching enabled the whole
-    cluster is posted as one coalesced message. *)
+(** Prefetch a list of pages ([Far_io.prefetch]): resident pages and
+    pages past the end of far memory are skipped; with doorbell
+    batching enabled the whole cluster is posted as one coalesced
+    message. *)
 
 val prefetch_range : t -> clock:Mira_sim.Clock.t -> addr:int -> len:int -> unit
 (** [prefetch_cluster] over the pages covering [addr, addr+len). *)

@@ -360,25 +360,13 @@ let alloc t ~tid ~site ~bytes ~heap =
             })
           root
       in
-      let now = Sim.Clock.now c in
-      let sqe =
-        Sim.Net.submit t.net ~now ~urgent:true
+      let comp, stall =
+        Cache.Far_io.blocking t.net ~clock:c
           (Sim.Net.Request.read ?ctx:rpc_ctx ~side:Sim.Net.Two_sided
              ~purpose:Sim.Net.Rpc 16)
       in
-      Sim.Clock.advance c sqe.Sim.Net.issue_cpu_ns;
-      let comp = Sim.Net.await t.net ~now ~id:sqe.Sim.Net.id in
-      let stall =
-        Sim.Clock.wait_event c
-          ~ev:(Sim.Clock.Net_completion sqe.Sim.Net.id)
-          comp.Sim.Net.done_at
-      in
       set_attr_context t ~tid ~site;
-      Mira_telemetry.Attribution.charge_parts t.attribution
-        ~holders:comp.Sim.Net.holders
-        (Mira_telemetry.Attribution.split_stall ~stall
-           ~wire_ns:comp.Sim.Net.wire_ns ~queue_ns:comp.Sim.Net.queue_ns
-           ~retry_ns:comp.Sim.Net.retry_ns);
+      Cache.Far_io.charge_completion t.attribution comp stall;
       end_access ~kind:"alloc-refill" ~clock:c root
     end;
     Regions.add (regions_of t site) ~addr ~len:bytes;

@@ -170,6 +170,95 @@ let test_manager_routing () =
   Manager.unassign_site m ~site:3;
   Alcotest.(check bool) "unassigned" true (Manager.route m ~site:3 = None)
 
+(* --- far memory's end and erasure-coded far memory ---------------------- *)
+
+(* Readahead near the end of far memory must skip the pages past it,
+   not read them: a store to the last word of a heap object that ends
+   at the far capacity round-trips through the swap section. *)
+let test_swap_readahead_at_far_end () =
+  let module Runtime = Mira_runtime.Runtime in
+  let module Memsys = Mira_runtime.Memsys in
+  let rt =
+    Runtime.create (Runtime.Config.make ~local_budget:8192 ~far_capacity:65536)
+  in
+  let ms = Runtime.memsys rt in
+  let bytes = 56 * 1024 in
+  let obj = ms.Memsys.alloc ~tid:0 ~site:1 ~bytes ~heap:true in
+  let last = { obj with Memsys.addr = obj.Memsys.addr + bytes - 8 } in
+  ms.Memsys.store ~tid:0 ~ptr:last ~len:8 ~native:false ~value:77L;
+  Alcotest.(check int64) "last word round-trips" 77L
+    (ms.Memsys.load ~tid:0 ~ptr:last ~len:8 ~native:false);
+  (* A prefetch straddling the end fetches only the in-range page. *)
+  let net, _, clock = make_env () in
+  let far = Cluster.of_store (Far_store.create ~capacity:16384) in
+  let sw =
+    Swap.create net far { Swap.page = 4096; capacity = 16384; side = Net.One_sided }
+  in
+  Swap.prefetch_range sw ~clock ~addr:12288 ~len:8192;
+  let st = Swap.stats sw in
+  Alcotest.(check int) "one page prefetched" 1 st.Swap.readahead_pages;
+  Alcotest.(check int) "one page of bytes" 4096 st.Swap.bytes_fetched;
+  Alcotest.(check bool) "in-range page resident" true (Swap.resident sw ~addr:12288);
+  Alcotest.(check int) "one read on the wire" 4096 (Net.stats net).Net.bytes_prefetch
+
+(* Both cache flavours go through the same far-I/O path: on EC(4,2)
+   over 6 nodes with one node down, a flush pays the unit plus one
+   parity write per live row, a fill of a unit on the down node pays a
+   reconstruction read, and the ledger balances. *)
+let test_ec_far_io_both_flavours () =
+  let module Cs = Mira_cache.Cache_section in
+  let module Attribution = Mira_telemetry.Attribution in
+  let check_flavour name ~unit make =
+    let net = Net.create Params.default in
+    let spec = Cluster.ec ~chunk:1024 ~nodes:6 ~k:4 ~m:2 [] in
+    let probe = Cluster.create ~capacity:65536 spec in
+    let down = Cluster.node_of_addr probe ~addr:0 in
+    let far =
+      Cluster.create ~capacity:65536
+        { spec with
+          Cluster.schedule =
+            [ { Cluster.ev_node = down; ev_at = 1.0; ev_down_for = 1e12 } ] }
+    in
+    (match Cluster.poll far ~now:2.0 with
+    | [ Cluster.Failover _ ] -> ()
+    | _ -> Alcotest.failf "%s: expected one failover" name);
+    let clock = Clock.create () in
+    Clock.advance clock 2.0;
+    let attr = Attribution.create () in
+    let h = make net far attr in
+    let addr = 8 in
+    ignore (Cs.load h ~clock ~addr ~len:8);
+    Alcotest.(check bool) (name ^ ": fill reconstructs") true
+      (Attribution.cause_ns attr Attribution.Reconstruct > 0.0);
+    Cs.store h ~clock ~addr ~len:8 5L;
+    let before = (Net.stats net).Net.bytes_writeback in
+    Cs.flush_range h ~clock ~addr ~len:8;
+    let parity =
+      List.fold_left (fun acc (_, b) -> acc + b) 0
+        (Cluster.replica_payloads far ~addr:0 ~len:unit)
+    in
+    Alcotest.(check bool) (name ^ ": parity owed") true (parity > 0);
+    Alcotest.(check int) (name ^ ": writeback bytes") (unit + parity)
+      ((Net.stats net).Net.bytes_writeback - before);
+    Alcotest.(check int64) (name ^ ": data reached the cluster") 5L
+      (Cluster.read_i64 far ~addr);
+    Alcotest.(check bool) (name ^ ": ledger balances") true
+      (Attribution.check attr = Ok ())
+  in
+  check_flavour "section" ~unit:1024 (fun net far attr ->
+      let s =
+        Section.create net far
+          (Section.config_default ~sec_id:1 ~name:"ec" ~line:1024 ~size:4096)
+      in
+      Section.set_attribution s attr;
+      Section.handle s);
+  check_flavour "swap" ~unit:4096 (fun net far attr ->
+      let sw =
+        Swap.create net far { Swap.page = 4096; capacity = 16384; side = Net.One_sided }
+      in
+      Swap.set_attribution sw attr;
+      Swap.handle sw)
+
 (* --- the coherence property ---------------------------------------------- *)
 
 type op = Load of int | Store of int * int64 | Pf of int | Flush of int | Evict of int
@@ -357,6 +446,10 @@ let suite =
     Alcotest.test_case "swap eviction" `Quick test_swap_eviction_and_writeback;
     Alcotest.test_case "swap readahead" `Quick test_swap_readahead;
     Alcotest.test_case "swap resize" `Quick test_swap_resize;
+    Alcotest.test_case "swap readahead at far end" `Quick
+      test_swap_readahead_at_far_end;
+    Alcotest.test_case "EC far I/O, both flavours" `Quick
+      test_ec_far_io_both_flavours;
     Alcotest.test_case "manager budget" `Quick test_manager_budget;
     Alcotest.test_case "manager routing" `Quick test_manager_routing;
     QCheck_alcotest.to_alcotest (coherence_for Section.Direct 64 512);
