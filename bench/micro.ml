@@ -62,7 +62,7 @@ let bench_value_codec =
       ignore (Mira_interp.Value.decode Mira_mir.Types.I64 bits)))
 
 (* Dispatch-heavy scheduler run: 8 tenants, 25 tasks each, 4 clock
-   moves per task — ~1000 dispatches against a ~200-entry event queue.
+   moves per task — ~1000 clock events against a ~200-entry event queue.
    This is the engine's hot loop under serving load; before the binary
    heap, every dispatch scanned and rebuilt the whole queue. *)
 let bench_sched_dispatch =

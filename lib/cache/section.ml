@@ -209,11 +209,11 @@ let find_slot t tag =
    reach the far store or it would be lost. *)
 let writeback_victim t ~clock line =
   if line.dirty then begin
+    line.dirty <- false;
     Far_io.writeback t.io ~clock ~base:(line.tag * t.cfg.line) ~src:line.data
       ~sync:false;
     t.stats.writebacks <- t.stats.writebacks + 1
-  end;
-  line.dirty <- false
+  end
 
 let release_slot t ~clock slot =
   let line = t.lines.(slot) in
@@ -462,12 +462,16 @@ let prefetch t ~clock ~addr ~len =
   in
   t.stats.bytes_fetched <- t.stats.bytes_fetched + (posted * payload_bytes t)
 
+(* [dirty] is cleared before the writeback: [Far_io.writeback] copies
+   the unit into the cluster before its first clock move, and a store
+   another tenant makes while this one is parked in that move must
+   leave the line dirty again, or it is never written back. *)
 let flush_slot t ~clock slot ~sync =
   let line = t.lines.(slot) in
   if line.dirty then begin
+    line.dirty <- false;
     Far_io.writeback t.io ~clock ~base:(line.tag * t.cfg.line) ~src:line.data
       ~sync;
-    line.dirty <- false;
     t.stats.writebacks <- t.stats.writebacks + 1
   end
 

@@ -116,11 +116,14 @@ let params t = Mira_sim.Net.params t.net
 (* Per-page metadata: a PTE-like entry plus LRU state (~32 B). *)
 let metadata_bytes t = 32 * Array.length t.frames
 
+(* [dirty] is cleared before the writeback, as in
+   [Section.flush_slot]: a store made while the writeback yields must
+   leave the frame dirty again. *)
 let writeback t ~clock frame ~sync =
   if frame.dirty then begin
+    frame.dirty <- false;
     Far_io.writeback t.io ~clock ~base:(frame.pno * t.cfg.page) ~src:frame.data
       ~sync;
-    frame.dirty <- false;
     t.stats.writebacks <- t.stats.writebacks + 1
   end
 

@@ -3,12 +3,16 @@
 
    Each tenant owns a [Clock] attached to this scheduler.  Whenever a
    task moves its clock forward (compute, a typed blocking event), the
-   clock's observer performs the [Yield] effect: the task's
-   continuation is parked in the event queue keyed by
+   clock's observer computes the key the task would park under,
 
        (time in int64 ticks, tenant id, submission seqno)
 
-   and the globally earliest task resumes.  Shared resources (the
+   and, if another parked task is due before that key, performs the
+   [Yield] effect: the task's continuation is parked in the event queue
+   and the globally earliest task resumes.  If the running task would
+   be popped straight back (nothing else is due first), the park and
+   resume are elided — the seqno is still consumed, so every later key
+   is what the park would have produced.  Shared resources (the
    section cache, the net in-flight window, the far cluster) therefore
    always observe calls in nondecreasing simulated-time order, and the
    interleaving is a pure function of the clocks — two runs with the
@@ -55,18 +59,31 @@ type entry = {
    is globally unique, so this is a strict total order over entries —
    which is exactly why the event queue can be a binary heap: with no
    ties, heap pop order coincides with the old scan-for-min order. *)
-let entry_before a b =
-  a.at < b.at
-  || (a.at = b.at && (a.tenant < b.tenant || (a.tenant = b.tenant && a.seq < b.seq)))
+let key_before at tenant seq b =
+  at < b.at || (at = b.at && (tenant < b.tenant || (tenant = b.tenant && seq < b.seq)))
+
+let entry_before a b = key_before a.at a.tenant a.seq b
+
+(* Block counters are indexed by event constructor, so counting a
+   clock move allocates nothing and hashes no string. *)
+let event_kinds = [| Net_completion 0; Cache_fill; Fence; Timer |]
+
+let event_index = function
+  | Net_completion _ -> 0
+  | Cache_fill -> 1
+  | Fence -> 2
+  | Timer -> 3
 
 type t = {
   queue : entry Mira_util.Min_heap.t;  (* ordered by [entry_before] *)
   mutable seq : int;
   mutable live : int;  (* spawned tasks that have not returned *)
   mutable running : bool;
+  mutable current : int;  (* running task's tenant, set at dispatch *)
   mutable dispatched : int;
+  mutable elided : int;  (* yields skipped: the mover stayed earliest *)
   clocks : (int, Clock.t) Hashtbl.t;
-  blocks : (string, int) Hashtbl.t;  (* yields per event kind *)
+  blocks : int array;  (* blocking moves per [event_index] *)
   mutable tls_hooks : (unit -> unit -> unit) list;  (* newest first *)
 }
 
@@ -78,9 +95,11 @@ let create () =
     seq = 0;
     live = 0;
     running = false;
+    current = 0;
     dispatched = 0;
+    elided = 0;
     clocks = Hashtbl.create 8;
-    blocks = Hashtbl.create 8;
+    blocks = Array.make (Array.length event_kinds) 0;
     tls_hooks = [];
   }
 
@@ -96,28 +115,49 @@ let add_tls t hook = t.tls_hooks <- hook :: t.tls_hooks
 let save_tls t = List.map (fun hook -> hook ()) t.tls_hooks
 let restore_tls entry = List.iter (fun restore -> restore ()) entry.tls
 
-let clock t ~tenant =
-  match Hashtbl.find_opt t.clocks tenant with
-  | Some c -> c
-  | None ->
-    let c = Clock.create () in
-    (* The yield point: only fires while the scheduler loop is live and
-       more than one task could be affected by the move — so clocks
-       handed out before [run], after it returns, or in a 1-tenant run
-       behave exactly like free-running clocks. *)
-    Clock.set_observer c
-      (Some
-         (fun ev now ->
-           if t.running && t.live > 1 then
-             Effect.perform (Yield { at = ticks_of_ns now; ev })));
-    Hashtbl.replace t.clocks tenant c;
-    c
-
 let push t entry = Mira_util.Min_heap.push t.queue entry
 
 let next_seq t =
   t.seq <- t.seq + 1;
   t.seq
+
+let count_block t ev =
+  let i = event_index ev in
+  t.blocks.(i) <- t.blocks.(i) + 1
+
+(* The yield point: only fires while the scheduler loop is live and
+   more than one task could be affected by the move — so clocks handed
+   out before [run], after it returns, or in a 1-tenant run behave
+   exactly like free-running clocks.  The key is the one the handler
+   would park under (the running task's tenant, not the clock's).  When
+   it still precedes every parked entry, the park would be followed by
+   popping this very task with the trace context and TLS that are
+   already installed, so only its bookkeeping is kept: the seqno, the
+   block count, and [elided] in place of a dispatch. *)
+let on_move t ev now =
+  if t.running && t.live > 1 then begin
+    let at = ticks_of_ns now in
+    let stays_earliest =
+      match Mira_util.Min_heap.peek t.queue with
+      | None -> true
+      | Some e -> key_before at t.current (t.seq + 1) e
+    in
+    if stays_earliest then begin
+      ignore (next_seq t);
+      count_block t ev;
+      t.elided <- t.elided + 1
+    end
+    else Effect.perform (Yield { at; ev })
+  end
+
+let clock t ~tenant =
+  match Hashtbl.find_opt t.clocks tenant with
+  | Some c -> c
+  | None ->
+    let c = Clock.create () in
+    Clock.set_observer c (Some (on_move t));
+    Hashtbl.replace t.clocks tenant c;
+    c
 
 let spawn ?at_ns t ~tenant f =
   let at =
@@ -130,15 +170,10 @@ let spawn ?at_ns t ~tenant f =
 
 let pop_earliest t = Mira_util.Min_heap.pop t.queue
 
-let count_block t ev =
-  let k = Clock.event_name ev in
-  Hashtbl.replace t.blocks k
-    (1 + Option.value ~default:0 (Hashtbl.find_opt t.blocks k))
-
 let run t =
   if t.running then invalid_arg "Sched.run: already running";
   t.running <- true;
-  let handler tenant =
+  let handler =
     {
       Effect.Deep.retc = (fun () -> t.live <- t.live - 1);
       exnc =
@@ -155,7 +190,7 @@ let run t =
                 push t
                   {
                     at;
-                    tenant;
+                    tenant = t.current;
                     seq = next_seq t;
                     resume = Resume k;
                     ctx = Mira_telemetry.Trace.current_ctx ();
@@ -169,10 +204,11 @@ let run t =
     | None -> ()
     | Some e ->
       t.dispatched <- t.dispatched + 1;
+      t.current <- e.tenant;
       Mira_telemetry.Trace.set_ctx e.ctx;
       restore_tls e;
       (match e.resume with
-      | Start f -> Effect.Deep.match_with f () (handler e.tenant)
+      | Start f -> Effect.Deep.match_with f () handler
       | Resume k -> Effect.Deep.continue k ());
       loop ()
   in
@@ -181,9 +217,13 @@ let run t =
   t.running <- false
 
 let dispatched t = t.dispatched
+let elided t = t.elided
 
 let block_counts t =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.blocks []
+  Array.to_list event_kinds
+  |> List.filter_map (fun ev ->
+         let n = t.blocks.(event_index ev) in
+         if n > 0 then Some (Clock.event_name ev, n) else None)
   |> List.sort compare
 
 let elapsed_ns t =
@@ -192,6 +232,7 @@ let elapsed_ns t =
 let publish t reg =
   Mira_telemetry.Metrics.set_counter reg "sched.tenants" (tenants t);
   Mira_telemetry.Metrics.set_counter reg "sched.dispatched" t.dispatched;
+  Mira_telemetry.Metrics.set_counter reg "sched.elided" t.elided;
   List.iter
     (fun (k, v) ->
       Mira_telemetry.Metrics.set_counter reg (Printf.sprintf "sched.block.%s" k) v)
@@ -199,13 +240,13 @@ let publish t reg =
 
 let reset_stats t =
   t.dispatched <- 0;
-  Hashtbl.reset t.blocks
+  t.elided <- 0;
+  Array.fill t.blocks 0 (Array.length t.blocks) 0
 
 let reset t =
   if t.running then invalid_arg "Sched.reset: scheduler is running";
   Mira_util.Min_heap.clear t.queue;
   t.seq <- 0;
   t.live <- 0;
-  t.dispatched <- 0;
-  Hashtbl.reset t.blocks;
+  reset_stats t;
   Hashtbl.iter (fun _ c -> Clock.reset c) t.clocks

@@ -6,7 +6,10 @@
     {!Clock.t} that is a {e view} over this scheduler: whenever a task
     moves its clock forward — compute time, or blocking on a typed
     event (net completion, cache-line fill, fence, arrival timer) — it
-    yields, and the task with the globally earliest clock resumes.
+    yields if another task is now due first, and the task with the
+    globally earliest clock resumes.  A move after which the mover is
+    still earliest costs one key comparison: the task keeps running
+    exactly as if it had parked and been resumed straight away.
     Tenants thereby contend for the shared section cache, the net
     in-flight window, and the far cluster in exact simulated-time
     order.
@@ -75,23 +78,33 @@ val run : t -> unit
     re-entry.  Exceptions escaping a task abort the run and propagate. *)
 
 val dispatched : t -> int
-(** Total dispatches (task starts + resumes) — a determinism
+(** Real dispatches: task starts plus resumes of a parked task.  A
+    clock move after which the mover stays earliest is not a dispatch
+    (see {!elided}); [dispatched + elided] is the determinism
     fingerprint for tests. *)
 
+val elided : t -> int
+(** Clock moves that would have parked the running task only to pop it
+    straight back, and so kept it running instead.  Each still
+    consumes a seqno and counts in {!block_counts}. *)
+
 val block_counts : t -> (string * int) list
-(** Yields per typed-event kind ([cache_fill], [fence],
-    [net_completion], [timer]), sorted by name. *)
+(** Blocking clock moves per typed-event kind ([cache_fill], [fence],
+    [net_completion], [timer]) made while more than one task was live,
+    whether they yielded or were elided.  Sorted by name; only kinds
+    seen are listed. *)
 
 val elapsed_ns : t -> float
 (** Max over all tenant clocks. *)
 
 val publish : t -> Mira_telemetry.Metrics.t -> unit
-(** Export [sched.tenants], [sched.dispatched] and per-kind
-    [sched.block.<event>] counters. *)
+(** Export [sched.tenants], [sched.dispatched], [sched.elided] and
+    per-kind [sched.block.<event>] counters. *)
 
 val reset_stats : t -> unit
-(** Zero [dispatched] and the per-kind block counters without touching
-    clocks or parked tasks (the runtime's [reset_timing] hook). *)
+(** Zero [dispatched], [elided] and the per-kind block counters
+    without touching clocks or parked tasks (the runtime's
+    [reset_timing] hook). *)
 
 val reset : t -> unit
 (** Drop parked tasks and counters and reset every tenant clock to 0

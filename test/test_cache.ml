@@ -259,6 +259,51 @@ let test_ec_far_io_both_flavours () =
       Swap.set_attribution sw attr;
       Swap.handle sw)
 
+(* --- a store racing a yielding writeback ----------------------------------- *)
+
+(* Two tenants share one cache.  Tenant 0 dirties a unit and flushes
+   it; the sync writeback blocks, so the scheduler runs tenant 1, which
+   is due inside that window and stores a second word into the same
+   unit.  Tenant 1's store must leave the unit dirty, so that a final
+   flush carries it to the cluster. *)
+let store_during_flush name ~make =
+  let module Sched = Mira_sim.Sched in
+  let net, far, _ = make_env () in
+  let store, flush = make net far in
+  let sched = Sched.create () in
+  let flushing = ref false and flushed = ref false in
+  let raced = ref false in
+  Sched.spawn sched ~tenant:0 (fun () ->
+      let clock = Sched.clock sched ~tenant:0 in
+      store ~clock ~addr:0 1L;
+      flushing := true;
+      flush ~clock;
+      flushed := true);
+  Sched.spawn sched ~tenant:1 (fun () ->
+      let clock = Sched.clock sched ~tenant:1 in
+      while not !flushing do
+        Clock.advance clock 1.0
+      done;
+      raced := not !flushed;
+      store ~clock ~addr:8 2L);
+  Sched.run sched;
+  Alcotest.(check bool) (name ^ ": store landed inside the flush") true !raced;
+  flush ~clock:(Sched.clock sched ~tenant:0);
+  Alcotest.(check int64) (name ^ ": tenant 0's word") 1L (Cluster.read_i64 far ~addr:0);
+  Alcotest.(check int64) (name ^ ": tenant 1's word") 2L (Cluster.read_i64 far ~addr:8)
+
+let test_store_during_flush () =
+  store_during_flush "section" ~make:(fun net far ->
+      let s = Section.create net far (cfg_of Section.Full_assoc ~line:64 ~size:1024) in
+      ( (fun ~clock ~addr v -> Section.store s ~clock ~addr ~len:8 v),
+        fun ~clock -> Section.flush_range s ~clock ~addr:0 ~len:64 ));
+  store_during_flush "swap" ~make:(fun net far ->
+      let sw =
+        Swap.create net far { Swap.page = 4096; capacity = 16384; side = Net.One_sided }
+      in
+      ( (fun ~clock ~addr v -> Swap.store sw ~clock ~addr ~len:8 v),
+        fun ~clock -> Swap.flush_range sw ~clock ~addr:0 ~len:4096 ))
+
 (* --- the coherence property ---------------------------------------------- *)
 
 type op = Load of int | Store of int * int64 | Pf of int | Flush of int | Evict of int
@@ -450,6 +495,8 @@ let suite =
       test_swap_readahead_at_far_end;
     Alcotest.test_case "EC far I/O, both flavours" `Quick
       test_ec_far_io_both_flavours;
+    Alcotest.test_case "store during a yielding flush" `Quick
+      test_store_during_flush;
     Alcotest.test_case "manager budget" `Quick test_manager_budget;
     Alcotest.test_case "manager routing" `Quick test_manager_routing;
     QCheck_alcotest.to_alcotest (coherence_for Section.Direct 64 512);

@@ -7,7 +7,9 @@
    - interleaved push/pop agrees with a sorted-list reference model;
    - differential: Sched dispatch order on random N-tenant programs is
      byte-identical to the old scan-for-min over an unordered list
-     (the implementation the heap replaced).
+     (the implementation the heap replaced), and Sched's [elided] and
+     [dispatched] counters equal the reference's self-resumes and
+     switches.
 
    docs/PERFORMANCE.md has a drift guard here too: it documents these
    structures and must keep naming them. *)
@@ -118,19 +120,28 @@ let qcheck_interleaved_model =
 (* --- differential: Sched dispatch vs the old scan ------------------------ *)
 
 (* The scheduler's park queue used to be an unordered list scanned with
-   List.fold_left for the earliest entry and List.filter to remove it.
-   The reference below replays a random N-tenant Advance program under
-   exactly that discipline — keys are the same (time ticks, tenant,
-   seqno) triples Sched uses — and the resulting dispatch log must be
-   byte-identical to what the heap-based Sched produces. *)
+   List.fold_left for the earliest entry and List.filter to remove it,
+   and every clock move parked the task.  The reference below replays a
+   random N-tenant program of [Test_sched.step]s under exactly that
+   discipline — keys are the same (time ticks, tenant, seqno) triples
+   Sched uses — and the resulting execution log must be byte-identical
+   to what the heap-based Sched produces.
+
+   It also classifies every pop, which pins what Sched counts:
+   - a self-resume pops the entry the running task just pushed while
+     another task was live: Sched keeps that task running and counts
+     it in [elided];
+   - a switch is any other pop: a real dispatch;
+   - a self-resume made while only one task is live is not counted,
+     since with one live task the clocks never yield. *)
 
 type ref_entry = {
   at : int64;  (* ticks, 2^-16 ns *)
   tenant : int;
   seq : int;
-  now : float;  (* tenant clock after the advance that parked it *)
+  now : float;  (* tenant clock after the move that parked it *)
   pending_log : bool;  (* emit (tenant, now) when dispatched *)
-  remaining : float list;
+  remaining : Test_sched.step list;
 }
 
 let entry_before a b =
@@ -151,10 +162,14 @@ let scan_pop entries =
     in
     Some (best, List.filter (fun e -> e != best) entries)
 
-let reference_log progs =
+(* Returns the execution log, the self-resume count and the switch
+   count. *)
+let reference_run progs =
   let log = ref [] in
+  let self_resumes = ref 0 and switches = ref 0 in
   let next_seq = ref 0 in
   let fresh_seq () = let s = !next_seq in incr next_seq; s in
+  let live = ref (List.length progs) in
   let entries =
     ref
       (List.mapi
@@ -163,40 +178,48 @@ let reference_log progs =
              pending_log = false; remaining = steps })
          progs)
   in
+  (* Run [e]'s steps until one moves its clock (park it and return the
+     parked entry) or the task returns.  Steps that leave the clock
+     where it is (a zero advance, a deadline already passed) do not
+     park, exactly as [Clock] does not notify for them. *)
+  let rec run_task e =
+    match e.remaining with
+    | [] -> decr live; None
+    | st :: more ->
+      let now, moved =
+        match st with
+        | Test_sched.Advance dt -> (e.now +. dt, dt > 0.0)
+        | Test_sched.Wait (_, deadline) ->
+          if deadline > e.now then (deadline, true) else (e.now, false)
+      in
+      if moved then begin
+        let parked =
+          { at = Sched.ticks_of_ns now; tenant = e.tenant; seq = fresh_seq ();
+            now; pending_log = true; remaining = more }
+        in
+        entries := parked :: !entries;
+        Some parked
+      end
+      else begin
+        log := (e.tenant, Int64.bits_of_float now) :: !log;
+        run_task { e with remaining = more }
+      end
+  in
+  let just_parked = ref None in
   let running = ref true in
   while !running do
     match scan_pop !entries with
     | None -> running := false
     | Some (e, rest) ->
       entries := rest;
+      (match !just_parked with
+      | Some p when p == e -> if !live > 1 then incr self_resumes
+      | _ -> incr switches);
       if e.pending_log then
         log := (e.tenant, Int64.bits_of_float e.now) :: !log;
-      (match e.remaining with
-      | [] -> ()  (* task body returned; nothing re-parks *)
-      | dt :: more ->
-        let now = e.now +. dt in
-        entries :=
-          { at = Sched.ticks_of_ns now; tenant = e.tenant;
-            seq = fresh_seq (); now; pending_log = true; remaining = more }
-          :: !entries)
+      just_parked := run_task e
   done;
-  List.rev !log
-
-let sched_log progs =
-  let s = Sched.create () in
-  let log = ref [] in
-  List.iteri
-    (fun tenant steps ->
-      Sched.spawn s ~tenant (fun () ->
-          let c = Sched.clock s ~tenant in
-          List.iter
-            (fun dt ->
-              Clock.advance c dt;
-              log := (tenant, Int64.bits_of_float (Clock.now c)) :: !log)
-            steps))
-    progs;
-  Sched.run s;
-  List.rev !log
+  (List.rev !log, !self_resumes, !switches)
 
 let advance_progs_gen =
   QCheck.Gen.(
@@ -218,7 +241,51 @@ let qcheck_sched_matches_scan =
   QCheck.Test.make
     ~name:"Sched dispatch order = old scan-based implementation" ~count:80
     advance_progs_arb
-    (fun progs -> sched_log progs = reference_log progs)
+    (fun progs ->
+      let progs = List.map (List.map (fun dt -> Test_sched.Advance dt)) progs in
+      let log, _, _, _, _ = Test_sched.run_progs progs in
+      let ref_log, _, _ = reference_run progs in
+      log = ref_log)
+
+(* Advance and Wait steps on a coarse time grid, so that moves often
+   land on the same tick as a parked task and the tenant/seqno
+   tie-breaks decide between eliding and yielding. *)
+let step_progs_gen =
+  let open QCheck.Gen in
+  let step =
+    frequency
+      [
+        (3, map (fun dt -> Test_sched.Advance dt) (oneofl [ 0.0; 0.5; 1.0; 2.0; 3.5 ]));
+        ( 2,
+          map2
+            (fun ev deadline -> Test_sched.Wait (ev, float_of_int deadline))
+            (oneofl [ Clock.Net_completion 1; Clock.Cache_fill; Clock.Fence; Clock.Timer ])
+            (int_bound 40) );
+      ]
+  in
+  int_range 2 6 >>= fun tenants ->
+  list_repeat tenants (list_size (int_range 1 25) step)
+
+let qcheck_sched_counts_match_reference =
+  QCheck.Test.make
+    ~name:"Sched elided/dispatched = reference self-resumes/switches"
+    ~count:200
+    (QCheck.make step_progs_gen ~print:(fun progs ->
+         String.concat " | "
+           (List.map
+              (fun p ->
+                String.concat ","
+                  (List.map
+                     (function
+                       | Test_sched.Advance dt -> Printf.sprintf "+%g" dt
+                       | Test_sched.Wait (ev, d) ->
+                         Printf.sprintf "%s@%g" (Clock.event_name ev) d)
+                     p))
+              progs)))
+    (fun progs ->
+      let log, dispatched, elided, _, _ = Test_sched.run_progs progs in
+      let ref_log, self_resumes, switches = reference_run progs in
+      log = ref_log && elided = self_resumes && dispatched = switches)
 
 (* --- docs/PERFORMANCE.md drift guard ------------------------------------- *)
 
@@ -263,4 +330,5 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_stable_with_index;
     QCheck_alcotest.to_alcotest qcheck_interleaved_model;
     QCheck_alcotest.to_alcotest qcheck_sched_matches_scan;
+    QCheck_alcotest.to_alcotest qcheck_sched_counts_match_reference;
   ]

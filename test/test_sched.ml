@@ -55,7 +55,11 @@ let run_progs progs =
             steps))
     progs;
   Sched.run s;
-  (List.rev !log, Sched.dispatched s, Sched.block_counts s, Sched.elapsed_ns s)
+  ( List.rev !log,
+    Sched.dispatched s,
+    Sched.elided s,
+    Sched.block_counts s,
+    Sched.elapsed_ns s )
 
 let test_interleaves_in_time_order () =
   (* Tenant 0 makes one big move, tenant 1 several small ones: the
@@ -66,7 +70,7 @@ let test_interleaves_in_time_order () =
       [ Advance 1.0; Advance 1.0; Advance 1.0; Advance 1.0 ];
     ]
   in
-  let log, _, _, elapsed = run_progs progs in
+  let log, _, _, _, elapsed = run_progs progs in
   let order = List.map fst log in
   Alcotest.(check (list int)) "time order" [ 1; 1; 1; 1; 0; 0 ] order;
   Alcotest.(check (float 1e-9)) "elapsed" 11.0 elapsed
@@ -78,12 +82,17 @@ let test_block_counts () =
       [ Wait (Clock.Cache_fill, 4.0); Advance 2.0 ];
     ]
   in
-  let _, _, blocks, _ = run_progs progs in
+  let _, dispatched, elided, blocks, _ = run_progs progs in
   let get k = Option.value ~default:0 (List.assoc_opt k blocks) in
   Alcotest.(check int) "net_completion" 1 (get "net_completion");
   Alcotest.(check int) "cache_fill" 1 (get "cache_fill");
   Alcotest.(check int) "fence" 1 (get "fence");
-  Alcotest.(check int) "timer" 1 (get "timer")
+  Alcotest.(check int) "timer" 1 (get "timer");
+  (* Tenant 1 waits to 4 while tenant 0 is parked at 5: it stays
+     earliest, so the Cache_fill wait is elided, not dispatched — but
+     still counted above. *)
+  Alcotest.(check int) "cache_fill wait elided" 1 elided;
+  Alcotest.(check int) "dispatches" 5 dispatched
 
 let step_gen =
   QCheck.Gen.(
@@ -270,7 +279,7 @@ let test_concurrency_doc_guard () =
     @ [
         "(time, tenant id, seqno)"; "2^-16"; "bit-identical"; "with_tenants";
         "--workload kv"; "--tenants"; "open-loop"; "slo_ns";
-        "BENCH_serving.json"; "sched.block.<event>"; "kv_t<N>";
+        "BENCH_serving.json"; "sched.block.<event>"; "sched.elided"; "kv_t<N>";
         "serving.t<N>"; "Invalid_argument";
       ]
   in
